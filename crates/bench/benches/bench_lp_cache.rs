@@ -82,10 +82,9 @@ fn bench(c: &mut Criterion) {
     });
 
     // Note: a warm-cache hit bypasses the solver *entirely* — zero
-    // pivots, zero dense/sparse solves — it is not merely "a faster
-    // solve". The session's solver counters prove it: whatever engine
-    // the Auto heuristic would have picked, a hit never reaches the
-    // engine-selection layer at all.
+    // pivots, zero solves on any engine — it is not merely "a faster
+    // solve". The session's solver counters prove it: a hit never
+    // reaches the solver at all.
     {
         let (name, q, fds) = &workload[0];
         let session =
@@ -94,7 +93,7 @@ fn bench(c: &mut Criterion) {
         let stats = session.stats();
         assert!(stats.cache_hits >= 1, "warm cache must hit: {stats:?}");
         assert_eq!(
-            stats.lp_dense_solves + stats.lp_sparse_solves,
+            stats.lp_sparse_solves + stats.lp_hybrid_solves,
             0,
             "a cache hit must bypass the solver entirely: {stats:?}"
         );

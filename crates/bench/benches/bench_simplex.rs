@@ -1,16 +1,16 @@
-//! Dense tableau vs exact sparse revised simplex vs the hybrid
-//! float/exact engine on the entropy-LP family.
+//! Exact sparse revised simplex vs the hybrid float/exact engine on
+//! the entropy-LP family.
 //!
-//! The family that motivated both sparse engines: the §6.4 entropy
-//! programs on k-cycle join queries. Proposition 6.10's LP has `2^k − 1`
-//! variables and about `2^k` constraints; Proposition 6.9's has the
+//! The family that motivated both engines: the §6.4 entropy programs on
+//! k-cycle join queries. Proposition 6.10's LP has `2^k − 1` variables
+//! and about `2^k` constraints; Proposition 6.9's has the
 //! `k(k−1)·2^{k−3}`-row elemental family. Each row touches only a
 //! handful of the columns, which is exactly the shape the revised
 //! simplex exploits — and the hybrid engine adds a second lever: pivot
 //! in f64, pay for exactness only once, in a single rational
 //! verification of the final basis. Criterion timings alone don't show
 //! *why* one engine wins, so the bench also prints a per-k table with
-//! the auto-selected engine, exact/float pivot counts and verification
+//! the engine `solve()` ran, exact/float pivot counts and verification
 //! outcomes, plus a machine-readable perf record (the `BENCH_*.json`
 //! files at the repo root are pasted from that output).
 //!
@@ -18,19 +18,14 @@
 //! this container; the inline assertions below enforce the italicized
 //! parts on every run):
 //!
-//! - Prop 6.10, k = 8: dense ≈ 1.7 s vs exact sparse ≈ 0.14 s.
 //! - Prop 6.10, k = 12: exact sparse ≈ 125 s vs hybrid ≈ 7 s, a 17x —
 //!   and *the float basis verifies* (no exact fallback on this family,
 //!   so *the hybrid engine spends zero exact pivots*). This gap is
 //!   what paid for raising the engine's entropy caps.
-//! - Prop 6.9, k = 7: dense ≈ 200 s (not benched — see the k cap
-//!   below) vs sparse ≈ 40 ms; the dense engine spends thousands of
-//!   phase-1 pivots on the all-zero-RHS inequality rows that the
-//!   revised engine starts feasible on.
-//! - *`Auto` routes the k ≥ 8 family to the hybrid engine* (to the
-//!   exact sparse engine under `CQ_LP_ENGINE=exact`).
+//! - *`solve()` runs the hybrid engine at every k* (the exact sparse
+//!   engine under `CQ_LP_ENGINE=exact`).
 //!
-//! The inline assertions are deliberately *structural* (engine routing,
+//! The inline assertions are deliberately *structural* (engine choice,
 //! basis verification, pivot counts) — properties of the algorithms,
 //! stable on any machine. Wall-clock acceptance (the ≥ 10x hybrid
 //! speedup at k ≥ 11, regressions against the committed record) lives
@@ -41,15 +36,10 @@
 
 use cq_bench::cycle_query;
 use cq_core::{build_color_number_entropy_lp, build_entropy_upper_lp};
-use cq_lp::{solve_lp, LinearProgram, PivotRule, Solver, SolverKind};
+use cq_lp::{solve_hybrid, solve_revised, LinearProgram, PivotRule, SolverKind};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::time::Instant;
 
-/// Largest k the *dense* engine is subjected to, per family. Beyond
-/// these the gap only widens (Prop 6.9 dense already needs minutes at
-/// k = 7) and the bench would stop terminating in useful time.
-const DENSE_CAP_6_10: usize = 8;
-const DENSE_CAP_6_9: usize = 6;
 /// Largest k the *exact sparse* engine runs inside the criterion
 /// groups (multiple samples each); the single-shot head-to-head in
 /// `family_table` takes it to k = 12.
@@ -63,42 +53,31 @@ fn lp_6_9(k: usize) -> LinearProgram {
     build_entropy_upper_lp(&cycle_query(k), &[])
 }
 
-/// What `Solver::Auto` must resolve to on the large entropy programs —
-/// the hybrid engine, unless `CQ_LP_ENGINE=exact` pins the all-rational
-/// path (the same knob CI's deep job flips).
-fn expected_auto() -> SolverKind {
-    match std::env::var("CQ_LP_ENGINE").ok().as_deref() {
-        Some("exact") => SolverKind::RevisedSparse,
-        _ => SolverKind::HybridFloat,
-    }
-}
-
 /// One-shot wall-time comparison with the acceptance assertions; also
 /// prints the shape/pivot table criterion timings can't express and the
 /// perf record consumed by the repo-root `BENCH_*.json` files.
 fn family_table(c: &mut Criterion) {
     let _ = c;
     println!(
-        "family        k  vars  cons    nnz  auto-engine      pivots  f-pivots  verified  time"
+        "family        k  vars  cons    nnz  engine           pivots  f-pivots  verified  time"
     );
+    // The one engine `solve()` runs: the hybrid, unless
+    // `CQ_LP_ENGINE=exact` pins the all-rational path (the same knob
+    // CI's deep job flips).
+    let engine = SolverKind::from_engine_env(std::env::var("CQ_LP_ENGINE").ok().as_deref());
     for (family, build, kmax) in [
         ("prop-6.10", lp_6_10 as fn(usize) -> LinearProgram, 12usize),
         ("prop-6.9", lp_6_9 as fn(usize) -> LinearProgram, 8),
     ] {
         for k in 4..=kmax {
             let lp = build(k);
-            let auto = Solver::Auto.resolve(&lp);
             let start = Instant::now();
             let s = lp.solve();
             let elapsed = start.elapsed();
-            assert_eq!(s.stats.solver, auto, "solve() honors the Auto choice");
-            if k >= 8 {
-                assert_eq!(
-                    auto,
-                    expected_auto(),
-                    "acceptance: Auto must route the k >= 8 entropy family per CQ_LP_ENGINE"
-                );
-            }
+            assert_eq!(
+                s.stats.solver, engine,
+                "acceptance: solve() runs the entropy family on the engine CQ_LP_ENGINE selects"
+            );
             if s.stats.solver == SolverKind::HybridFloat {
                 assert!(
                     s.stats.float_verified && s.stats.exact_fallbacks == 0,
@@ -111,7 +90,7 @@ fn family_table(c: &mut Criterion) {
                 s.stats.cols,
                 s.stats.rows,
                 s.stats.nonzeros,
-                auto.name(),
+                s.stats.solver.name(),
                 s.stats.pivots,
                 s.stats.float_pivots,
                 if s.stats.solver == SolverKind::HybridFloat {
@@ -136,10 +115,10 @@ fn family_table(c: &mut Criterion) {
     for k in 8..=12usize {
         let lp = lp_6_10(k);
         let start = Instant::now();
-        let exact = solve_lp(&lp, Solver::RevisedSparse, PivotRule::DantzigThenBland);
+        let exact = solve_revised(&lp, PivotRule::DantzigThenBland);
         let exact_time = start.elapsed();
         let start = Instant::now();
-        let hybrid = solve_lp(&lp, Solver::HybridFloat, PivotRule::DantzigThenBland);
+        let hybrid = solve_hybrid(&lp, PivotRule::DantzigThenBland);
         let hybrid_time = start.elapsed();
         assert_eq!(
             exact.objective, hybrid.objective,
@@ -171,24 +150,6 @@ fn family_table(c: &mut Criterion) {
     }
     println!("perf record (the \"runs\" array of BENCH_<date>.json):");
     println!("[{}]", records.join(",\n "));
-
-    // The original dense-vs-sparse head-to-head, still printed at k = 8
-    // on the 6.10 family (the only family where dense terminates
-    // quickly enough to measure at k = 8). The exact-agreement assert
-    // is the structural half of the old ≥ 2x acceptance; the timing
-    // half is cq-lab's.
-    let lp = lp_6_10(8);
-    let start = Instant::now();
-    let dense = solve_lp(&lp, Solver::DenseTableau, PivotRule::DantzigThenBland);
-    let dense_time = start.elapsed();
-    let start = Instant::now();
-    let sparse = solve_lp(&lp, Solver::RevisedSparse, PivotRule::DantzigThenBland);
-    let sparse_time = start.elapsed();
-    assert_eq!(dense.objective, sparse.objective, "engines agree exactly");
-    println!(
-        "prop-6.10 k=8 head-to-head: dense {dense_time:?} vs sparse {sparse_time:?} ({:.1}x)",
-        dense_time.as_secs_f64() / sparse_time.as_secs_f64()
-    );
 }
 
 fn bench(c: &mut Criterion) {
@@ -198,19 +159,10 @@ fn bench(c: &mut Criterion) {
     g.sample_size(2);
     for k in 4..=12usize {
         let lp = lp_6_10(k);
-        if k <= DENSE_CAP_6_10 {
-            g.bench_with_input(BenchmarkId::new("dense", k), &lp, |b, lp| {
-                b.iter(|| {
-                    solve_lp(lp, Solver::DenseTableau, PivotRule::DantzigThenBland)
-                        .objective
-                        .clone()
-                })
-            });
-        }
         if k <= EXACT_CAP_6_10 {
             g.bench_with_input(BenchmarkId::new("sparse", k), &lp, |b, lp| {
                 b.iter(|| {
-                    solve_lp(lp, Solver::RevisedSparse, PivotRule::DantzigThenBland)
+                    solve_revised(lp, PivotRule::DantzigThenBland)
                         .objective
                         .clone()
                 })
@@ -218,7 +170,7 @@ fn bench(c: &mut Criterion) {
         }
         g.bench_with_input(BenchmarkId::new("hybrid", k), &lp, |b, lp| {
             b.iter(|| {
-                solve_lp(lp, Solver::HybridFloat, PivotRule::DantzigThenBland)
+                solve_hybrid(lp, PivotRule::DantzigThenBland)
                     .objective
                     .clone()
             })
@@ -230,25 +182,16 @@ fn bench(c: &mut Criterion) {
     g.sample_size(2);
     for k in 4..=8usize {
         let lp = lp_6_9(k);
-        if k <= DENSE_CAP_6_9 {
-            g.bench_with_input(BenchmarkId::new("dense", k), &lp, |b, lp| {
-                b.iter(|| {
-                    solve_lp(lp, Solver::DenseTableau, PivotRule::DantzigThenBland)
-                        .objective
-                        .clone()
-                })
-            });
-        }
         g.bench_with_input(BenchmarkId::new("sparse", k), &lp, |b, lp| {
             b.iter(|| {
-                solve_lp(lp, Solver::RevisedSparse, PivotRule::DantzigThenBland)
+                solve_revised(lp, PivotRule::DantzigThenBland)
                     .objective
                     .clone()
             })
         });
         g.bench_with_input(BenchmarkId::new("hybrid", k), &lp, |b, lp| {
             b.iter(|| {
-                solve_lp(lp, Solver::HybridFloat, PivotRule::DantzigThenBland)
+                solve_hybrid(lp, PivotRule::DantzigThenBland)
                     .objective
                     .clone()
             })
@@ -266,7 +209,7 @@ fn bench(c: &mut Criterion) {
         ("dantzig_then_bland", PivotRule::DantzigThenBland),
     ] {
         g.bench_with_input(BenchmarkId::new(name, "6.10/k7"), &lp, |b, lp| {
-            b.iter(|| solve_lp(lp, Solver::RevisedSparse, rule).objective.clone())
+            b.iter(|| solve_revised(lp, rule).objective.clone())
         });
     }
     g.finish();

@@ -1,12 +1,12 @@
 //! Scratch profiler for the hybrid engine on the 6.10 entropy family.
 //!
-//! The per-phase split that used to be a `CQ_HYBRID_TRACE` eprintln now
-//! comes from the telemetry layer: spans stream to the NDJSON sink
-//! (stderr here, or wherever `CQ_TRACE` points) and the always-on phase
-//! histograms summarize to count/sum/p50/p95/p99 per phase.
+//! The per-phase split comes from the telemetry layer: spans stream to
+//! the NDJSON sink (stderr here, or wherever `CQ_TRACE` points) and the
+//! always-on phase histograms summarize to count/sum/p50/p95/p99 per
+//! phase.
 use cq_bench::cycle_query;
 use cq_core::build_color_number_entropy_lp;
-use cq_lp::{solve_lp, PivotRule, Solver};
+use cq_lp::{solve_hybrid, PivotRule};
 use cq_telemetry::Metrics;
 use std::time::Instant;
 
@@ -21,7 +21,7 @@ fn main() {
     }
     let lp = build_color_number_entropy_lp(&cycle_query(k), &[]);
     let t = Instant::now();
-    let s = solve_lp(&lp, Solver::HybridFloat, PivotRule::DantzigThenBland);
+    let s = solve_hybrid(&lp, PivotRule::DantzigThenBland);
     eprintln!(
         "k={k} total {:?} verified={} fallbacks={} float_pivots={}",
         t.elapsed(),

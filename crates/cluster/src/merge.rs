@@ -83,7 +83,6 @@ pub struct CacheTotals {
 pub struct SolverTotals {
     pub pivots: u64,
     pub refactorizations: u64,
-    pub dense_solves: u64,
     pub sparse_solves: u64,
     pub hybrid_solves: u64,
     pub float_pivots: u64,
@@ -108,7 +107,6 @@ impl SolverTotals {
             };
             totals.pivots += field("pivots");
             totals.refactorizations += field("refactorizations");
-            totals.dense_solves += field("dense_solves");
             totals.sparse_solves += field("sparse_solves");
             totals.hybrid_solves += field("hybrid_solves");
             totals.float_pivots += field("float_pivots");
@@ -314,14 +312,13 @@ mod tests {
     #[test]
     fn solver_totals_skip_error_entries() {
         let report = Json::parse(
-            r#"{"solver_stats":{"pivots":3,"refactorizations":1,"dense_solves":1,"sparse_solves":2,"hybrid_solves":1,"float_pivots":40,"float_verified":1,"exact_fallbacks":0}}"#,
+            r#"{"solver_stats":{"pivots":3,"refactorizations":1,"sparse_solves":2,"hybrid_solves":1,"float_pivots":40,"float_verified":1,"exact_fallbacks":0}}"#,
         )
         .unwrap();
         // A report predating the hybrid keys sums as zero for them.
-        let old = Json::parse(
-            r#"{"solver_stats":{"pivots":1,"refactorizations":0,"dense_solves":1,"sparse_solves":0}}"#,
-        )
-        .unwrap();
+        let old =
+            Json::parse(r#"{"solver_stats":{"pivots":1,"refactorizations":0,"sparse_solves":0}}"#)
+                .unwrap();
         let error = Json::parse(r#"{"name":"bad","error":"parse error"}"#).unwrap();
         let totals = SolverTotals::from_reports(&[report.clone(), error, old, report]);
         assert_eq!(
@@ -329,7 +326,6 @@ mod tests {
             SolverTotals {
                 pivots: 7,
                 refactorizations: 2,
-                dense_solves: 3,
                 sparse_solves: 4,
                 hybrid_solves: 2,
                 float_pivots: 80,

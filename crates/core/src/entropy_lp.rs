@@ -19,13 +19,13 @@
 //!
 //! Both LPs are exponential in `|var(Q)|` by construction (the paper
 //! says as much), but their constraints are *sparse* — an elemental
-//! inequality touches at most 4 of the `2^k − 1` variables — so above
-//! the dense tableau's comfort zone `cq_lp` routes them to the sparse
-//! revised simplex automatically (see `docs/SOLVER.md`). With the dense
-//! tableau the practical ceiling was about 6–7 variables for
+//! inequality touches at most 4 of the `2^k − 1` variables — which is
+//! the shape `cq_lp`'s sparse revised machinery, and the float/exact
+//! hybrid built on it, exploit (see `docs/SOLVER.md`). With the old
+//! dense tableau the practical ceiling was about 6–7 variables for
 //! Proposition 6.9 (the elemental family has `k(k−1)·2^{k−3}`
-//! inequalities) and 8–10 for Proposition 6.10; the sparse engine moves
-//! both up by roughly two variables at interactive latencies — the
+//! inequalities) and 8–10 for Proposition 6.10; the sparse engines move
+//! both up by several variables at interactive latencies — the
 //! engine-level caps live at `cq_engine::session`.
 //!
 //! ```

@@ -72,8 +72,6 @@ pub struct SolverReport {
     pub pivots: usize,
     /// Basis refactorizations (sparse revised engine only).
     pub refactorizations: usize,
-    /// LPs solved by the dense tableau.
-    pub dense_solves: usize,
     /// LPs solved by the sparse revised simplex.
     pub sparse_solves: usize,
     /// LPs solved by the hybrid float/exact engine.
@@ -198,7 +196,6 @@ impl AnalysisSession {
         let solver = SolverReport {
             pivots: stats.lp_pivots,
             refactorizations: stats.lp_refactorizations,
-            dense_solves: stats.lp_dense_solves,
             sparse_solves: stats.lp_sparse_solves,
             hybrid_solves: stats.lp_hybrid_solves,
             float_pivots: stats.lp_float_pivots,
@@ -483,7 +480,6 @@ impl AnalysisReport {
                 obj([
                     ("pivots", Json::int(self.solver.pivots)),
                     ("refactorizations", Json::int(self.solver.refactorizations)),
-                    ("dense_solves", Json::int(self.solver.dense_solves)),
                     ("sparse_solves", Json::int(self.solver.sparse_solves)),
                     ("hybrid_solves", Json::int(self.solver.hybrid_solves)),
                     ("float_pivots", Json::int(self.solver.float_pivots)),

@@ -104,8 +104,6 @@ pub struct ServeStats {
     /// Simplex pivots across every LP this process solved (cache hits
     /// contribute nothing — the point of a warm daemon).
     pub lp_pivots: u64,
-    /// LPs solved by the dense tableau.
-    pub lp_dense_solves: u64,
     /// LPs solved by the sparse revised simplex.
     pub lp_sparse_solves: u64,
     /// LPs solved by the hybrid float/exact engine.
@@ -161,7 +159,6 @@ pub struct ServeEngine {
     batches: AtomicU64,
     errors: AtomicU64,
     lp_pivots: AtomicU64,
-    lp_dense_solves: AtomicU64,
     lp_sparse_solves: AtomicU64,
     lp_hybrid_solves: AtomicU64,
     lp_float_verified: AtomicU64,
@@ -193,7 +190,6 @@ impl ServeEngine {
             batches: AtomicU64::new(0),
             errors: AtomicU64::new(0),
             lp_pivots: AtomicU64::new(0),
-            lp_dense_solves: AtomicU64::new(0),
             lp_sparse_solves: AtomicU64::new(0),
             lp_hybrid_solves: AtomicU64::new(0),
             lp_float_verified: AtomicU64::new(0),
@@ -329,7 +325,6 @@ impl ServeEngine {
             batches: self.batches.load(Ordering::Relaxed),
             errors: self.errors.load(Ordering::Relaxed),
             lp_pivots: self.lp_pivots.load(Ordering::Relaxed),
-            lp_dense_solves: self.lp_dense_solves.load(Ordering::Relaxed),
             lp_sparse_solves: self.lp_sparse_solves.load(Ordering::Relaxed),
             lp_hybrid_solves: self.lp_hybrid_solves.load(Ordering::Relaxed),
             lp_float_verified: self.lp_float_verified.load(Ordering::Relaxed),
@@ -344,8 +339,6 @@ impl ServeEngine {
     fn note_solver(&self, report: &crate::report::AnalysisReport) {
         self.lp_pivots
             .fetch_add(report.solver.pivots as u64, Ordering::Relaxed);
-        self.lp_dense_solves
-            .fetch_add(report.solver.dense_solves as u64, Ordering::Relaxed);
         self.lp_sparse_solves
             .fetch_add(report.solver.sparse_solves as u64, Ordering::Relaxed);
         self.lp_hybrid_solves
@@ -767,7 +760,6 @@ impl ServeEngine {
                     Json::Int(self.in_flight.load(Ordering::Relaxed)),
                 ),
                 ("lp_pivots", Json::int(stats.lp_pivots as usize)),
-                ("lp_dense_solves", Json::int(stats.lp_dense_solves as usize)),
                 (
                     "lp_sparse_solves",
                     Json::int(stats.lp_sparse_solves as usize),

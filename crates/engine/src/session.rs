@@ -106,7 +106,10 @@ pub struct SessionStats {
     pub lp_pivots: usize,
     /// Basis refactorizations across those solves (sparse engine only).
     pub lp_refactorizations: usize,
-    /// Coloring/entropy LPs solved by the dense tableau.
+    /// Always 0: every LP now goes through the hybrid engine (or the
+    /// exact one under `CQ_LP_ENGINE=exact`), and the dense tableau that
+    /// this field counted is gone. Kept so readers of the field still
+    /// compile.
     pub lp_dense_solves: usize,
     /// Coloring/entropy LPs solved by the sparse revised simplex.
     pub lp_sparse_solves: usize,
@@ -135,7 +138,6 @@ struct Counters {
     cache_misses: Cell<usize>,
     lp_pivots: Cell<usize>,
     lp_refactorizations: Cell<usize>,
-    lp_dense_solves: Cell<usize>,
     lp_sparse_solves: Cell<usize>,
     lp_hybrid_solves: Cell<usize>,
     lp_float_pivots: Cell<usize>,
@@ -151,7 +153,6 @@ impl Counters {
         self.lp_refactorizations
             .set(self.lp_refactorizations.get() + stats.refactorizations);
         let engine = match stats.solver {
-            SolverKind::DenseTableau => &self.lp_dense_solves,
             SolverKind::RevisedSparse => &self.lp_sparse_solves,
             SolverKind::HybridFloat => &self.lp_hybrid_solves,
         };
@@ -266,7 +267,7 @@ impl AnalysisSession {
             cache_misses: self.counters.cache_misses.get(),
             lp_pivots: self.counters.lp_pivots.get(),
             lp_refactorizations: self.counters.lp_refactorizations.get(),
-            lp_dense_solves: self.counters.lp_dense_solves.get(),
+            lp_dense_solves: 0,
             lp_sparse_solves: self.counters.lp_sparse_solves.get(),
             lp_hybrid_solves: self.counters.lp_hybrid_solves.get(),
             lp_float_pivots: self.counters.lp_float_pivots.get(),

@@ -231,10 +231,6 @@ fn try_run(task: &Task, bins: &Binaries, trace_dir: Option<&Path>) -> Result<Jso
             Json::int(solver.refactorizations as usize),
         ),
         (
-            "dense_solves".to_owned(),
-            Json::int(solver.dense_solves as usize),
-        ),
-        (
             "sparse_solves".to_owned(),
             Json::int(solver.sparse_solves as usize),
         ),

@@ -30,7 +30,9 @@ pub enum Engine {
     Exact,
     /// `CQ_LP_ENGINE=hybrid`: float pivoting + exact verification.
     Hybrid,
-    /// `CQ_LP_ENGINE` unset: whatever `Solver::Auto` picks by default.
+    /// `CQ_LP_ENGINE` unset: the default solve path, which runs the
+    /// hybrid engine for every LP — so it measures what `Hybrid` does,
+    /// without pinning the variable.
     Auto,
 }
 

@@ -22,7 +22,7 @@
 //! answer from this module can cost time, never correctness.
 
 use crate::revised::Revised;
-use crate::simplex::PivotRule;
+use crate::solver::PivotRule;
 use cq_arith::Rational;
 
 /// Values with magnitude at or below this are treated as exact zeros

@@ -28,20 +28,19 @@
 //! [`crate::SolveStats::exact_fallbacks`] records the detour.
 
 use crate::revised::{Revised, SparseLu};
-use crate::simplex::{LpSolution, LpStatus, PivotRule};
-use crate::solver::SolverKind;
+use crate::solver::{LpSolution, LpStatus, PivotRule, SolverKind};
 use crate::{float::FloatOutcome, float::FloatSimplex, LinearProgram, Objective};
 use cq_arith::Rational;
 use cq_telemetry::{phase, Metrics, Span};
 
 /// Solves `lp` with the float-first hybrid. See the module docs for the
-/// verification contract; see [`crate::solver::Solver::Auto`] for when
-/// this engine is selected automatically.
+/// verification contract. This is the engine
+/// [`crate::LinearProgram::solve`] runs unless `CQ_LP_ENGINE=exact`
+/// pins the exact one.
 ///
 /// Each phase is a telemetry span (`lp.canonicalize`,
 /// `lp.float_propose`, `lp.exact_verify`, `lp.exact_fallback`) with an
-/// always-on latency histogram — the `CQ_TRACE=stderr` replacement for
-/// the retired `CQ_HYBRID_TRACE` eprintln profile.
+/// always-on latency histogram; `CQ_TRACE=stderr` prints the split.
 pub fn solve_hybrid(lp: &LinearProgram, rule: PivotRule) -> LpSolution {
     let _hybrid = Span::enter("lp.solve_hybrid");
     let ex = {

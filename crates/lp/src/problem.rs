@@ -145,19 +145,14 @@ impl LinearProgram {
         &self.objective_coeffs
     }
 
-    /// Solves the program exactly, picking the engine automatically
-    /// ([`crate::Solver::Auto`]): the dense tableau for small/dense
-    /// programs, the sparse revised simplex for large sparse ones (the
-    /// entropy LPs). Both engines agree on status and optimal objective
-    /// for every program; see `docs/SOLVER.md` for the selection policy.
-    pub fn solve(&self) -> crate::simplex::LpSolution {
-        crate::solver::solve_auto(self, crate::Solver::Auto)
-    }
-
-    /// Solves with an explicit engine choice (each engine under its
-    /// default pivot rule). `Solver::Auto` behaves like [`Self::solve`].
-    pub fn solve_with_solver(&self, solver: crate::Solver) -> crate::simplex::LpSolution {
-        crate::solver::solve_auto(self, solver)
+    /// Solves the program exactly. Every program takes the same path:
+    /// the float/exact hybrid ([`crate::solve_hybrid`]) under
+    /// Dantzig-then-Bland pricing, or the exact revised simplex
+    /// ([`crate::solve_revised`]) when `CQ_LP_ENGINE=exact` pins it.
+    /// Both agree on status and optimal objective for every program;
+    /// see `docs/SOLVER.md`.
+    pub fn solve(&self) -> crate::LpSolution {
+        crate::solver::solve(self)
     }
 
     /// Constructs the LP dual for a program in *canonical form*:

@@ -1,39 +1,84 @@
-//! Engine selection: dense tableau vs. sparse revised simplex.
+//! The one solve path, and the types every engine shares.
 //!
-//! Both engines are exact (rationals end to end) and implement the same
-//! two-phase method with the same pivot rules, so for any program they
-//! agree on the status and — at optimality — on the objective value
-//! (the LP optimum is unique even when the optimal *point* is not).
-//! They differ only in cost shape:
-//!
-//! - [`Solver::DenseTableau`] ([`crate::simplex`]) carries the full
-//!   `m × (n + slacks + artificials)` tableau and updates every row per
-//!   pivot. Unbeatable on the paper's small combinatorial LPs.
-//! - [`Solver::RevisedSparse`] ([`crate::revised`]) keeps the constraint
-//!   matrix sparse and reconstructs only what a pivot needs through an
-//!   LU-factorized basis with eta updates. It wins once the matrix is
-//!   large and sparse — the entropy LPs of Propositions 6.9/6.10, whose
-//!   `2^k − 1` columns meet constraints touching 2–4 variables each.
-//!
-//! [`Solver::Auto`] (the [`crate::LinearProgram::solve`] default) picks
-//! by a size/density heuristic documented at [`Solver::AUTO_MIN_DIM`];
-//! the decision is recorded in [`SolveStats::solver`] so reports can say
-//! which engine ran. See `docs/SOLVER.md` for the full policy.
+//! [`crate::LinearProgram::solve`] sends every program to the
+//! float/exact hybrid ([`crate::hybrid`]): an `f64` revised simplex
+//! proposes the optimal basis, one exact rational factorization
+//! certifies it, and the exact revised simplex ([`crate::revised`])
+//! solves from scratch whenever the certificate fails. Setting
+//! `CQ_LP_ENGINE=exact` pins the exact revised simplex instead (read
+//! fresh per solve, so tests and CI can toggle it in-process). The
+//! engine that ran is recorded in [`SolveStats::solver`]. Both engines
+//! are exact end to end, so they agree on status and — at optimality —
+//! on the objective; see `docs/SOLVER.md` for the full contract.
 
-use crate::problem::LinearProgram;
-use crate::simplex::{LpSolution, PivotRule};
+use crate::problem::{LinearProgram, VarId};
+use cq_arith::Rational;
+
+/// Pivot-selection strategy, honored by both engines.
+///
+/// Bland's rule is the termination-safe choice (the paper's LPs are
+/// highly degenerate). Dantzig's rule (most-negative reduced cost) often
+/// pivots fewer times in practice; it is guarded against cycling by
+/// switching to Bland after a degenerate stretch, and it is what
+/// [`crate::LinearProgram::solve`] uses.
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
+pub enum PivotRule {
+    /// Smallest-index improving column; never cycles.
+    #[default]
+    Bland,
+    /// Most-negative reduced cost, falling back to Bland after 64
+    /// consecutive degenerate (zero-improvement) pivots.
+    DantzigThenBland,
+}
+
+/// Outcome classification of a solve.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum LpStatus {
+    /// An optimal solution was found.
+    Optimal,
+    /// The feasible region is empty.
+    Infeasible,
+    /// The objective is unbounded over the feasible region.
+    Unbounded,
+}
+
+/// Result of solving a [`LinearProgram`].
+#[derive(Clone, Debug)]
+pub struct LpSolution {
+    /// Solve outcome.
+    pub status: LpStatus,
+    /// Optimal objective value (meaningful only when `status == Optimal`).
+    pub objective: Rational,
+    /// Optimal variable assignment, indexed by [`VarId::index`]
+    /// (meaningful only when `status == Optimal`).
+    pub values: Vec<Rational>,
+    /// Per-solve observability: which engine ran, pivot and
+    /// refactorization counts, and the program's shape.
+    pub stats: SolveStats,
+}
+
+impl LpSolution {
+    /// Value of `var` in the optimal solution.
+    pub fn value(&self, var: VarId) -> &Rational {
+        &self.values[var.index()]
+    }
+
+    /// `true` when an optimum was found.
+    pub fn is_optimal(&self) -> bool {
+        self.status == LpStatus::Optimal
+    }
+}
 
 /// Which engine actually solved a program (recorded in [`SolveStats`]).
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum SolverKind {
-    /// The dense two-phase tableau of [`crate::simplex`].
-    #[default]
-    DenseTableau,
-    /// The sparse revised simplex of [`crate::revised`].
+    /// The exact sparse revised simplex of [`crate::revised`]
+    /// (`CQ_LP_ENGINE=exact`).
     RevisedSparse,
     /// The float-first hybrid of [`crate::hybrid`]: an `f64` revised
     /// simplex proposes a basis, one exact factorization verifies it,
-    /// and the exact engine backstops any failure.
+    /// and the exact engine backstops any failure. The default.
+    #[default]
     HybridFloat,
 }
 
@@ -41,63 +86,21 @@ impl SolverKind {
     /// Stable lowercase name (used by reports and benches).
     pub fn name(self) -> &'static str {
         match self {
-            SolverKind::DenseTableau => "dense_tableau",
             SolverKind::RevisedSparse => "revised_sparse",
             SolverKind::HybridFloat => "hybrid_float",
         }
     }
-}
 
-/// Engine choice for [`LinearProgram::solve_with_solver`].
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum Solver {
-    /// Decide per program by the size/density heuristic.
-    #[default]
-    Auto,
-    /// Force the dense tableau.
-    DenseTableau,
-    /// Force the sparse revised simplex.
-    RevisedSparse,
-    /// Force the float-first hybrid with exact basis verification.
-    HybridFloat,
-}
-
-impl Solver {
-    /// `Auto` routes to the sparse engine only when the larger program
-    /// dimension reaches this size…
-    pub const AUTO_MIN_DIM: usize = 64;
-    /// …and at most one constraint-matrix entry in `AUTO_MAX_DENSITY_INV`
-    /// is nonzero (density ≤ 1/4). Below either threshold the dense
-    /// tableau's lower constant factors win.
-    pub const AUTO_MAX_DENSITY_INV: usize = 4;
-
-    /// Resolves `Auto` against a concrete program.
-    ///
-    /// Large sparse programs go to the hybrid float/exact engine unless
-    /// the `CQ_LP_ENGINE` environment variable (read fresh per resolve,
-    /// so tests and CI can toggle it in-process) asks for the pure exact
-    /// path: `exact` keeps the sparse rational engine, `hybrid` (or
-    /// unset, or anything else) keeps the default routing. Small or
-    /// dense programs always use the dense tableau — at that size the
-    /// float phase cannot beat its constant factors.
-    pub fn resolve(self, lp: &LinearProgram) -> SolverKind {
-        match self {
-            Solver::DenseTableau => SolverKind::DenseTableau,
-            Solver::RevisedSparse => SolverKind::RevisedSparse,
-            Solver::HybridFloat => SolverKind::HybridFloat,
-            Solver::Auto => {
-                let m = lp.num_constraints();
-                let n = lp.num_vars();
-                let cells = m.saturating_mul(n);
-                let nnz = constraint_nonzeros(lp);
-                if m.max(n) >= Self::AUTO_MIN_DIM
-                    && nnz.saturating_mul(Self::AUTO_MAX_DENSITY_INV) <= cells
-                {
-                    auto_large_engine(std::env::var("CQ_LP_ENGINE").ok().as_deref())
-                } else {
-                    SolverKind::DenseTableau
-                }
-            }
+    /// The engine [`crate::LinearProgram::solve`] runs, given the
+    /// `CQ_LP_ENGINE` value: `exact` pins the exact revised simplex;
+    /// unset, `hybrid` or anything else keeps the hybrid. A pure
+    /// function so the policy is unit-testable without mutating the
+    /// process environment (concurrent `setenv`/`getenv` is undefined
+    /// behavior on glibc, so tests must not call `set_var`).
+    pub fn from_engine_env(env: Option<&str>) -> SolverKind {
+        match env {
+            Some("exact") => SolverKind::RevisedSparse,
+            _ => SolverKind::HybridFloat,
         }
     }
 }
@@ -109,23 +112,24 @@ impl Solver {
 pub struct SolveStats {
     /// Engine that produced the solution.
     pub solver: SolverKind,
-    /// Basis changes performed across both phases (including the
-    /// degenerate drive-out pivots after phase 1).
+    /// Exact basis changes performed across both phases (including the
+    /// degenerate drive-out pivots after phase 1). 0 on a hybrid solve
+    /// whose float basis verified: no exact pivoting happened.
     pub pivots: usize,
-    /// Basis refactorizations (sparse engine only: the eta file was
+    /// Basis refactorizations of the exact engine (the eta file was
     /// folded back into a fresh LU).
     pub refactorizations: usize,
-    /// Nonzero structural coefficients of the constraint matrix (after
-    /// summing duplicate terms is *not* applied — this is the input
-    /// sparsity the `Auto` heuristic sees).
+    /// Nonzero structural coefficients of the constraint matrix (as
+    /// stated: duplicate mentions of one variable in a constraint count
+    /// separately).
     pub nonzeros: usize,
     /// Constraint count of the program.
     pub rows: usize,
     /// Variable count of the program (structural only).
     pub cols: usize,
     /// Pivots performed by the hybrid engine's `f64` phase (0 for the
-    /// pure exact engines). The exact-phase count stays in `pivots`, so
-    /// the two phases are separately attributable.
+    /// exact engine). The exact-phase count stays in `pivots`, so the
+    /// two phases are separately attributable.
     pub float_pivots: usize,
     /// `true` iff the hybrid engine's float-proposed basis passed exact
     /// verification — the solution came from one rational factorization
@@ -137,22 +141,8 @@ pub struct SolveStats {
     pub exact_fallbacks: usize,
 }
 
-/// The engine `Auto` uses in the large-sparse regime, given the
-/// `CQ_LP_ENGINE` value. Split out as a pure function so the policy is
-/// unit-testable without mutating the process environment (concurrent
-/// `setenv`/`getenv` is undefined behavior on glibc, so tests must not
-/// call `set_var`).
-fn auto_large_engine(env: Option<&str>) -> SolverKind {
-    match env {
-        Some("exact") => SolverKind::RevisedSparse,
-        _ => SolverKind::HybridFloat,
-    }
-}
-
-/// Nonzero coefficient entries across all constraints — the numerator of
-/// the density estimate (duplicate mentions of one variable in a single
-/// constraint count separately; exact dedup would cost a pass for no
-/// behavioral difference at the heuristic's thresholds).
+/// Nonzero coefficient entries across all constraints (duplicate
+/// mentions of one variable in a single constraint count separately).
 pub(crate) fn constraint_nonzeros(lp: &LinearProgram) -> usize {
     lp.constraints()
         .iter()
@@ -160,99 +150,370 @@ pub(crate) fn constraint_nonzeros(lp: &LinearProgram) -> usize {
         .sum()
 }
 
-/// Solves `lp` with the chosen engine and pivot rule. `rule` is honored
-/// by both engines; [`PivotRule::DantzigThenBland`] is the sparse
-/// engine's recommended default (Bland's guarantee still backstops
-/// degenerate stretches).
-pub fn solve_lp(lp: &LinearProgram, solver: Solver, rule: PivotRule) -> LpSolution {
-    let solution = match solver.resolve(lp) {
-        SolverKind::DenseTableau => crate::simplex::solve_with(lp, rule),
-        SolverKind::RevisedSparse => crate::revised::solve_revised(lp, rule),
-        SolverKind::HybridFloat => crate::hybrid::solve_hybrid(lp, rule),
+/// The body of [`crate::LinearProgram::solve`]: the engine chosen by
+/// [`SolverKind::from_engine_env`] under Dantzig-then-Bland pricing,
+/// plus the per-engine pivot histogram (the hybrid's float phase
+/// additionally records `cq_lp_float_pivots` at its call site).
+pub(crate) fn solve(lp: &LinearProgram) -> LpSolution {
+    let rule = PivotRule::DantzigThenBland;
+    let env = std::env::var("CQ_LP_ENGINE").ok();
+    let (solution, histogram) = match SolverKind::from_engine_env(env.as_deref()) {
+        SolverKind::RevisedSparse => (
+            crate::revised::solve_revised(lp, rule),
+            "cq_lp_sparse_pivots",
+        ),
+        SolverKind::HybridFloat => (
+            crate::hybrid::solve_hybrid(lp, rule),
+            "cq_lp_hybrid_exact_pivots",
+        ),
     };
-    // Per-solve pivot distribution, split by engine (the hybrid's float
-    // phase additionally records `cq_lp_float_pivots` at its call site).
     cq_telemetry::Metrics::global()
-        .histogram(match solution.stats.solver {
-            SolverKind::DenseTableau => "cq_lp_dense_pivots",
-            SolverKind::RevisedSparse => "cq_lp_sparse_pivots",
-            SolverKind::HybridFloat => "cq_lp_hybrid_exact_pivots",
-        })
+        .histogram(histogram)
         .observe(solution.stats.pivots as u64);
     solution
 }
 
-/// Solves `lp` with the chosen engine under that engine's default pivot
-/// rule: Bland for the dense tableau (the historical default, never
-/// cycles), Dantzig-then-Bland for the sparse engine (fewer pivots in
-/// practice, same termination guarantee).
-pub fn solve_auto(lp: &LinearProgram, solver: Solver) -> LpSolution {
-    let rule = match solver.resolve(lp) {
-        SolverKind::DenseTableau => PivotRule::Bland,
-        SolverKind::RevisedSparse | SolverKind::HybridFloat => PivotRule::DantzigThenBland,
-    };
-    solve_lp(lp, solver, rule)
-}
-
 #[cfg(test)]
 mod tests {
+    //! Fixture programs through [`LinearProgram::solve`]: tiny,
+    //! degenerate and edge-case LPs that the one solve path must get
+    //! exactly right (the engine-against-oracle differential lives in
+    //! `tests/lp_differential.rs`).
+
     use super::*;
-    use crate::problem::Relation;
-    use cq_arith::Rational;
+    use crate::problem::{LinearProgram, Relation};
+    use proptest::prelude::*;
 
-    /// `k` variables, `m` constraints of `touch` variables each.
-    fn lp_shape(n: usize, m: usize, touch: usize) -> LinearProgram {
-        let mut lp = LinearProgram::maximize();
-        let vars: Vec<_> = (0..n).map(|i| lp.add_var(format!("x{i}"))).collect();
-        for i in 0..m {
-            let coeffs: Vec<_> = (0..touch)
-                .map(|t| (vars[(i + t) % n], Rational::one()))
-                .collect();
-            lp.add_constraint(coeffs, Relation::Le, Rational::one());
-        }
-        lp
+    fn r(p: i64, q: i64) -> Rational {
+        Rational::ratio(p, q)
     }
 
-    #[test]
-    fn auto_picks_dense_for_small_programs() {
-        let lp = lp_shape(6, 8, 2);
-        assert_eq!(Solver::Auto.resolve(&lp), SolverKind::DenseTableau);
-    }
-
-    #[test]
-    fn auto_picks_hybrid_for_large_sparse_programs() {
-        // 128 vars, 200 constraints touching 3 each: density 3/128.
-        let lp = lp_shape(128, 200, 3);
-        // Env-aware so the suite also passes under a CQ_LP_ENGINE run.
-        let expected = auto_large_engine(std::env::var("CQ_LP_ENGINE").ok().as_deref());
-        assert_eq!(Solver::Auto.resolve(&lp), expected);
+    fn ri(p: i64) -> Rational {
+        Rational::int(p)
     }
 
     #[test]
     fn engine_env_knob_policy() {
-        assert_eq!(auto_large_engine(None), SolverKind::HybridFloat);
-        assert_eq!(auto_large_engine(Some("hybrid")), SolverKind::HybridFloat);
-        assert_eq!(auto_large_engine(Some("exact")), SolverKind::RevisedSparse);
-        // Unknown values keep the default rather than erroring.
-        assert_eq!(auto_large_engine(Some("bogus")), SolverKind::HybridFloat);
-    }
-
-    #[test]
-    fn auto_picks_dense_for_large_dense_programs() {
-        // 80 vars but constraints touch 40 of them: density 1/2.
-        let lp = lp_shape(80, 80, 40);
-        assert_eq!(Solver::Auto.resolve(&lp), SolverKind::DenseTableau);
-    }
-
-    #[test]
-    fn forced_choices_are_honored() {
-        let lp = lp_shape(4, 4, 2);
-        assert_eq!(Solver::DenseTableau.resolve(&lp), SolverKind::DenseTableau);
+        assert_eq!(SolverKind::from_engine_env(None), SolverKind::HybridFloat);
         assert_eq!(
-            Solver::RevisedSparse.resolve(&lp),
+            SolverKind::from_engine_env(Some("hybrid")),
+            SolverKind::HybridFloat
+        );
+        assert_eq!(
+            SolverKind::from_engine_env(Some("exact")),
             SolverKind::RevisedSparse
         );
-        let s = solve_auto(&lp, Solver::RevisedSparse);
-        assert_eq!(s.stats.solver, SolverKind::RevisedSparse);
+        // Unknown values keep the default rather than erroring.
+        assert_eq!(
+            SolverKind::from_engine_env(Some("bogus")),
+            SolverKind::HybridFloat
+        );
+    }
+
+    #[test]
+    fn solve_records_the_engine_it_ran() {
+        let mut lp = LinearProgram::maximize();
+        let x = lp.add_var("x");
+        lp.set_objective_coeff(x, ri(1));
+        lp.add_constraint(vec![(x, ri(1))], Relation::Le, ri(4));
+        let s = lp.solve();
+        // Env-aware so the suite also passes under a CQ_LP_ENGINE run.
+        let expected = SolverKind::from_engine_env(std::env::var("CQ_LP_ENGINE").ok().as_deref());
+        assert_eq!(s.stats.solver, expected);
+        assert_eq!((s.stats.rows, s.stats.cols, s.stats.nonzeros), (1, 1, 1));
+        if expected == SolverKind::HybridFloat {
+            assert!(s.stats.float_verified, "{:?}", s.stats);
+        }
+    }
+
+    #[test]
+    fn basic_max() {
+        // max 3x + 5y st x <= 4; 2y <= 12; 3x + 2y <= 18  -> 36 at (2,6)
+        let mut lp = LinearProgram::maximize();
+        let x = lp.add_var("x");
+        let y = lp.add_var("y");
+        lp.set_objective_coeff(x, ri(3));
+        lp.set_objective_coeff(y, ri(5));
+        lp.add_constraint(vec![(x, ri(1))], Relation::Le, ri(4));
+        lp.add_constraint(vec![(y, ri(2))], Relation::Le, ri(12));
+        lp.add_constraint(vec![(x, ri(3)), (y, ri(2))], Relation::Le, ri(18));
+        let s = lp.solve();
+        assert_eq!(s.status, LpStatus::Optimal);
+        assert_eq!(s.objective, ri(36));
+        assert_eq!(s.value(x), &ri(2));
+        assert_eq!(s.value(y), &ri(6));
+    }
+
+    #[test]
+    fn basic_min_with_ge() {
+        // min 2x + 3y st x + y >= 4; x >= 1: candidates (4,0) -> 8 and
+        // (1,3) -> 11, so 8.
+        let mut lp = LinearProgram::minimize();
+        let x = lp.add_var("x");
+        let y = lp.add_var("y");
+        lp.set_objective_coeff(x, ri(2));
+        lp.set_objective_coeff(y, ri(3));
+        lp.add_constraint(vec![(x, ri(1)), (y, ri(1))], Relation::Ge, ri(4));
+        lp.add_constraint(vec![(x, ri(1))], Relation::Ge, ri(1));
+        let s = lp.solve();
+        assert_eq!(s.status, LpStatus::Optimal);
+        assert_eq!(s.objective, ri(8));
+        assert_eq!(s.value(x), &ri(4));
+    }
+
+    #[test]
+    fn equality_constraints() {
+        // max x + y st x + 2y = 4; x <= 2 -> x=2, y=1, obj=3
+        let mut lp = LinearProgram::maximize();
+        let x = lp.add_var("x");
+        let y = lp.add_var("y");
+        lp.set_objective_coeff(x, ri(1));
+        lp.set_objective_coeff(y, ri(1));
+        lp.add_constraint(vec![(x, ri(1)), (y, ri(2))], Relation::Eq, ri(4));
+        lp.add_constraint(vec![(x, ri(1))], Relation::Le, ri(2));
+        let s = lp.solve();
+        assert_eq!(s.status, LpStatus::Optimal);
+        assert_eq!(s.objective, ri(3));
+        assert_eq!(s.value(x), &ri(2));
+        assert_eq!(s.value(y), &ri(1));
+    }
+
+    #[test]
+    fn infeasible_detected() {
+        let mut lp = LinearProgram::maximize();
+        let x = lp.add_var("x");
+        lp.set_objective_coeff(x, ri(1));
+        lp.add_constraint(vec![(x, ri(1))], Relation::Le, ri(1));
+        lp.add_constraint(vec![(x, ri(1))], Relation::Ge, ri(2));
+        assert_eq!(lp.solve().status, LpStatus::Infeasible);
+    }
+
+    #[test]
+    fn unbounded_detected() {
+        let mut lp = LinearProgram::maximize();
+        let x = lp.add_var("x");
+        let y = lp.add_var("y");
+        lp.set_objective_coeff(x, ri(1));
+        lp.add_constraint(vec![(x, ri(1)), (y, ri(-1))], Relation::Le, ri(1));
+        assert_eq!(lp.solve().status, LpStatus::Unbounded);
+    }
+
+    #[test]
+    fn negative_rhs_canonicalized() {
+        // x - y <= -1 (i.e. y >= x + 1), max x st x <= 3, y <= 4 -> x=3
+        let mut lp = LinearProgram::maximize();
+        let x = lp.add_var("x");
+        let y = lp.add_var("y");
+        lp.set_objective_coeff(x, ri(1));
+        lp.add_constraint(vec![(x, ri(1)), (y, ri(-1))], Relation::Le, ri(-1));
+        lp.add_constraint(vec![(x, ri(1))], Relation::Le, ri(3));
+        lp.add_constraint(vec![(y, ri(1))], Relation::Le, ri(4));
+        let s = lp.solve();
+        assert_eq!(s.status, LpStatus::Optimal);
+        assert_eq!(s.objective, ri(3));
+        assert!(s.value(y) >= &ri(4));
+    }
+
+    #[test]
+    fn fractional_optimum_is_exact() {
+        // The triangle-query LP (Example 3.3): max x+y+z with pairwise sums <= 1.
+        let mut lp = LinearProgram::maximize();
+        let x = lp.add_var("x");
+        let y = lp.add_var("y");
+        let z = lp.add_var("z");
+        for v in [x, y, z] {
+            lp.set_objective_coeff(v, ri(1));
+        }
+        lp.add_constraint(vec![(x, ri(1)), (y, ri(1))], Relation::Le, ri(1));
+        lp.add_constraint(vec![(x, ri(1)), (z, ri(1))], Relation::Le, ri(1));
+        lp.add_constraint(vec![(y, ri(1)), (z, ri(1))], Relation::Le, ri(1));
+        let s = lp.solve();
+        assert_eq!(s.status, LpStatus::Optimal);
+        assert_eq!(s.objective, r(3, 2));
+        assert_eq!(s.value(x), &r(1, 2));
+    }
+
+    #[test]
+    fn degenerate_beale_terminates() {
+        // Beale's classic cycling example; the Bland fallback of the
+        // Dantzig pricing must terminate.
+        // min -3/4 x4 + 150 x5 - 1/50 x6 + 6 x7
+        // st x1 + 1/4 x4 - 60 x5 - 1/25 x6 + 9 x7 = 0
+        //    x2 + 1/2 x4 - 90 x5 - 1/50 x6 + 3 x7 = 0
+        //    x3 + x6 = 1
+        // optimum -1/20
+        let mut lp = LinearProgram::minimize();
+        let x1 = lp.add_var("x1");
+        let x2 = lp.add_var("x2");
+        let x3 = lp.add_var("x3");
+        let x4 = lp.add_var("x4");
+        let x5 = lp.add_var("x5");
+        let x6 = lp.add_var("x6");
+        let x7 = lp.add_var("x7");
+        lp.set_objective_coeff(x4, r(-3, 4));
+        lp.set_objective_coeff(x5, ri(150));
+        lp.set_objective_coeff(x6, r(-1, 50));
+        lp.set_objective_coeff(x7, ri(6));
+        lp.add_constraint(
+            vec![
+                (x1, ri(1)),
+                (x4, r(1, 4)),
+                (x5, ri(-60)),
+                (x6, r(-1, 25)),
+                (x7, ri(9)),
+            ],
+            Relation::Eq,
+            ri(0),
+        );
+        lp.add_constraint(
+            vec![
+                (x2, ri(1)),
+                (x4, r(1, 2)),
+                (x5, ri(-90)),
+                (x6, r(-1, 50)),
+                (x7, ri(3)),
+            ],
+            Relation::Eq,
+            ri(0),
+        );
+        lp.add_constraint(vec![(x3, ri(1)), (x6, ri(1))], Relation::Eq, ri(1));
+        let s = lp.solve();
+        assert_eq!(s.status, LpStatus::Optimal);
+        assert_eq!(s.objective, r(-1, 20));
+    }
+
+    #[test]
+    fn redundant_equalities() {
+        // x + y = 2 stated twice; max x -> 2
+        let mut lp = LinearProgram::maximize();
+        let x = lp.add_var("x");
+        let y = lp.add_var("y");
+        lp.set_objective_coeff(x, ri(1));
+        lp.add_constraint(vec![(x, ri(1)), (y, ri(1))], Relation::Eq, ri(2));
+        lp.add_constraint(vec![(x, ri(1)), (y, ri(1))], Relation::Eq, ri(2));
+        let s = lp.solve();
+        assert_eq!(s.status, LpStatus::Optimal);
+        assert_eq!(s.objective, ri(2));
+    }
+
+    #[test]
+    fn zero_variable_lp() {
+        let lp = LinearProgram::maximize();
+        let s = lp.solve();
+        assert_eq!(s.status, LpStatus::Optimal);
+        assert_eq!(s.objective, ri(0));
+    }
+
+    #[test]
+    fn duplicate_coeffs_are_summed() {
+        // max x st x/2 + x/2 <= 3
+        let mut lp = LinearProgram::maximize();
+        let x = lp.add_var("x");
+        lp.set_objective_coeff(x, ri(1));
+        lp.add_constraint(vec![(x, r(1, 2)), (x, r(1, 2))], Relation::Le, ri(3));
+        let s = lp.solve();
+        assert_eq!(s.objective, ri(3));
+    }
+
+    #[test]
+    fn strong_duality_on_canonical_program() {
+        let mut lp = LinearProgram::maximize();
+        let x = lp.add_var("x");
+        let y = lp.add_var("y");
+        lp.set_objective_coeff(x, ri(3));
+        lp.set_objective_coeff(y, ri(5));
+        lp.add_constraint(vec![(x, ri(1))], Relation::Le, ri(4));
+        lp.add_constraint(vec![(y, ri(2))], Relation::Le, ri(12));
+        lp.add_constraint(vec![(x, ri(3)), (y, ri(2))], Relation::Le, ri(18));
+        let p = lp.solve();
+        let d = lp.dual().solve();
+        assert_eq!(p.status, LpStatus::Optimal);
+        assert_eq!(d.status, LpStatus::Optimal);
+        assert_eq!(p.objective, d.objective);
+    }
+
+    /// An equality constraint behaves exactly like the pair of
+    /// inequalities it abbreviates.
+    fn with_eq_vs_pair(eq: bool) -> LpSolution {
+        // max x + y st x + 2y (= or <=/>=) 6; x <= 4
+        let mut lp = LinearProgram::maximize();
+        let x = lp.add_var("x");
+        let y = lp.add_var("y");
+        lp.set_objective_coeff(x, ri(1));
+        lp.set_objective_coeff(y, ri(1));
+        if eq {
+            lp.add_constraint(vec![(x, ri(1)), (y, ri(2))], Relation::Eq, ri(6));
+        } else {
+            lp.add_constraint(vec![(x, ri(1)), (y, ri(2))], Relation::Le, ri(6));
+            lp.add_constraint(vec![(x, ri(1)), (y, ri(2))], Relation::Ge, ri(6));
+        }
+        lp.add_constraint(vec![(x, ri(1))], Relation::Le, ri(4));
+        lp.solve()
+    }
+
+    #[test]
+    fn equality_equals_inequality_pair() {
+        let a = with_eq_vs_pair(true);
+        let b = with_eq_vs_pair(false);
+        assert_eq!(a.status, LpStatus::Optimal);
+        assert_eq!(a.objective, b.objective);
+    }
+
+    /// Random small canonical-form LPs: verify feasibility of the reported
+    /// solution and strong duality whenever both sides are optimal.
+    fn arb_canonical_lp() -> impl Strategy<Value = LinearProgram> {
+        (1usize..4, 1usize..5).prop_flat_map(|(nv, nc)| {
+            let coeff = -3i64..4;
+            let obj = proptest::collection::vec(0i64..4, nv);
+            let rows =
+                proptest::collection::vec((proptest::collection::vec(coeff, nv), 0i64..6), nc);
+            (obj, rows).prop_map(move |(obj, rows)| {
+                let mut lp = LinearProgram::maximize();
+                let vars: Vec<_> = (0..nv).map(|i| lp.add_var(format!("x{i}"))).collect();
+                for (i, &c) in obj.iter().enumerate() {
+                    lp.set_objective_coeff(vars[i], ri(c));
+                }
+                for (coeffs, rhs) in rows {
+                    let sparse: Vec<_> = coeffs
+                        .iter()
+                        .enumerate()
+                        .map(|(i, &c)| (vars[i], ri(c)))
+                        .collect();
+                    lp.add_constraint(sparse, Relation::Le, ri(rhs));
+                }
+                lp
+            })
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+        #[test]
+        fn solution_is_feasible_and_duality_holds(lp in arb_canonical_lp()) {
+            let s = lp.solve();
+            // x = 0 is always feasible here (rhs >= 0), so never infeasible.
+            prop_assert!(s.status != LpStatus::Infeasible);
+            if s.status == LpStatus::Optimal {
+                // check feasibility exactly
+                for c in lp.constraints() {
+                    let mut lhs = Rational::zero();
+                    for (v, co) in &c.coeffs {
+                        lhs += &(co * &s.values[v.index()]);
+                    }
+                    prop_assert!(lhs <= c.rhs);
+                }
+                for v in &s.values {
+                    prop_assert!(!v.is_negative());
+                }
+                // strong duality
+                let d = lp.dual().solve();
+                prop_assert_eq!(d.status, LpStatus::Optimal);
+                prop_assert_eq!(d.objective, s.objective);
+            } else {
+                // unbounded primal => infeasible dual
+                let d = lp.dual().solve();
+                prop_assert_eq!(d.status, LpStatus::Infeasible);
+            }
+        }
     }
 }

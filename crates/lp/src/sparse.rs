@@ -7,7 +7,7 @@
 //! the entropy programs of Propositions 6.9/6.10 have `2^k − 1` columns
 //! while each elemental/monotonicity/submodularity row touches only a
 //! handful of them — so the sparse representation is what makes the
-//! exact arithmetic scale past the dense tableau's ceiling.
+//! exact arithmetic scale to programs a dense tableau could not hold.
 
 use cq_arith::Rational;
 

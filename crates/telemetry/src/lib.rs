@@ -23,9 +23,8 @@
 //!   round-trip tested and cannot silently drift.
 //!
 //! `CQ_TRACE=stderr|PATH` (or `--trace` on the binaries) installs the
-//! NDJSON sink via [`init_tracing`]; the PR 6 `CQ_HYBRID_TRACE` env var
-//! survives as a deprecated alias for `CQ_TRACE=stderr`. Span model,
-//! naming conventions and the wire format live in `docs/TELEMETRY.md`.
+//! NDJSON sink via [`init_tracing`]. Span model, naming conventions and
+//! the wire format live in `docs/TELEMETRY.md`.
 //!
 //! ```
 //! use cq_telemetry::Metrics;

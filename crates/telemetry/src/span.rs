@@ -318,9 +318,7 @@ pub enum TraceTarget {
 /// binary's `--trace` flag:
 ///
 /// - `CQ_TRACE=stderr` → stderr; `CQ_TRACE=PATH` → that file;
-/// - `CQ_HYBRID_TRACE` (the PR 6 env var, now an alias) → stderr, with
-///   a one-line deprecation note on stderr;
-/// - `--trace` with neither variable set → stderr;
+/// - `--trace` with `CQ_TRACE` unset → stderr;
 /// - otherwise tracing stays off.
 pub fn trace_target_from_env(flag: bool) -> Option<TraceTarget> {
     if let Ok(value) = std::env::var("CQ_TRACE") {
@@ -328,13 +326,6 @@ pub fn trace_target_from_env(flag: bool) -> Option<TraceTarget> {
             "stderr" | "" => TraceTarget::Stderr,
             path => TraceTarget::File(PathBuf::from(path)),
         });
-    }
-    if std::env::var_os("CQ_HYBRID_TRACE").is_some() {
-        eprintln!(
-            "cq-telemetry: CQ_HYBRID_TRACE is deprecated; use CQ_TRACE=stderr \
-             (or --trace) for span NDJSON"
-        );
-        return Some(TraceTarget::Stderr);
     }
     flag.then_some(TraceTarget::Stderr)
 }
@@ -598,7 +589,7 @@ mod tests {
     fn trace_target_resolution_prefers_explicit_env() {
         // Pure policy helper: no env mutation (undefined behavior with
         // concurrent tests), just the flag-only path.
-        if std::env::var_os("CQ_TRACE").is_none() && std::env::var_os("CQ_HYBRID_TRACE").is_none() {
+        if std::env::var_os("CQ_TRACE").is_none() {
             assert_eq!(trace_target_from_env(false), None);
             assert_eq!(trace_target_from_env(true), Some(TraceTarget::Stderr));
         }

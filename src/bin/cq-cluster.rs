@@ -239,7 +239,6 @@ fn summary_json(run: &ClusterRun) -> Json {
                             "refactorizations",
                             Json::int(run.solver.refactorizations as usize),
                         ),
-                        ("dense_solves", Json::int(run.solver.dense_solves as usize)),
                         (
                             "sparse_solves",
                             Json::int(run.solver.sparse_solves as usize),

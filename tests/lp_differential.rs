@@ -1,16 +1,23 @@
-//! The solver differential layer: the dense tableau, the sparse revised
-//! simplex, and the hybrid float/exact engine must agree **exactly** on
-//! every program.
+//! The solver differential layer: the sparse revised simplex and the
+//! hybrid float/exact engine — and [`LinearProgram::solve`], the one
+//! path production takes through them — must agree **exactly** with an
+//! independent oracle on every program.
+//!
+//! The oracle is the dense two-phase tableau in `oracle/tableau.rs`,
+//! compiled only into this suite. It shares no code with the engines
+//! (the hybrid's fallback *is* the revised engine, so comparing those
+//! two alone would check the hybrid against itself).
 //!
 //! Exact rationals make the contract sharp — the LP optimum is a unique
-//! number, so all engines must return bit-identical statuses and
-//! objectives (no tolerance). The hybrid engine is held to the same
-//! standard: its float phase only *proposes* a basis, and everything it
-//! reports comes from an exact refactorization of that basis or from a
-//! full exact fallback, so float rounding can never leak into a result.
-//! Optimal *points* may differ (alternative optima), so witnesses are
-//! checked semantically instead: every reported solution must be
-//! exactly feasible, nonnegative, and attain the reported objective.
+//! number, so every engine must return the oracle's status and
+//! objective bit for bit (no tolerance). The hybrid engine is held to
+//! the same standard: its float phase only *proposes* a basis, and
+//! everything it reports comes from an exact refactorization of that
+//! basis or from a full exact fallback, so float rounding can never
+//! leak into a result. Optimal *points* may differ (alternative
+//! optima), so witnesses are checked semantically instead: every
+//! reported solution must be exactly feasible, nonnegative, and attain
+//! the reported objective.
 //!
 //! Layers:
 //! - a property over random LPs (mixed `<=`/`>=`/`=`, negative RHS,
@@ -18,36 +25,51 @@
 //!   *default* proptest config, so CI's scheduled deep job scales it to
 //!   4096 cases via `PROPTEST_CASES`;
 //! - the paper's own LP constructions (Prop 3.6 coloring, §3.1 covers
-//!   and their duals, Props 6.9/6.10 entropy programs) solved by both
-//!   engines;
+//!   and their duals, Props 6.9/6.10 entropy programs);
+//! - the `cluster-cold` benchmark population: the coloring and
+//!   head-cover LPs of 2000 `cq_bench::random_query` draws, each of
+//!   which must also float-verify;
 //! - regression fixtures: Beale's cycling LP (cycles under naive
-//!   Dantzig pricing; the Bland fallback must terminate on both
-//!   engines), redundant equalities, and an `Auto`-routed program.
+//!   Dantzig pricing; the Bland fallback must terminate on every
+//!   engine), redundant equalities, a sub-epsilon objective, and the
+//!   default `solve()` path on a Prop 6.10 program.
+
+#[path = "oracle/tableau.rs"]
+mod tableau;
 
 use cqbounds::arith::Rational;
 use cqbounds::core::{
     build_color_number_entropy_lp, build_entropy_upper_lp, color_number_lp, parse_query,
+    ConjunctiveQuery,
 };
 use cqbounds::lp::{
-    solve_lp, solve_revised, solve_with, LinearProgram, LpSolution, LpStatus, PivotRule, Relation,
-    Solver, SolverKind,
+    solve_hybrid, solve_revised, LinearProgram, LpSolution, LpStatus, PivotRule, Relation,
+    SolverKind,
 };
 use proptest::prelude::*;
+use tableau::OracleSolution;
 
 fn ri(n: i64) -> Rational {
     Rational::int(n)
 }
 
+/// The engine `LinearProgram::solve` runs in this process: the hybrid,
+/// or the exact revised simplex when `CQ_LP_ENGINE=exact` pins it (CI's
+/// deep job runs this suite under both settings).
+fn default_engine() -> SolverKind {
+    SolverKind::from_engine_env(std::env::var("CQ_LP_ENGINE").ok().as_deref())
+}
+
 /// Exact feasibility + objective-attainment check for a claimed optimum.
-fn verify_witness(lp: &LinearProgram, sol: &LpSolution, label: &str) {
-    assert_eq!(sol.values.len(), lp.num_vars(), "{label}: witness length");
-    for v in &sol.values {
+fn verify_witness(lp: &LinearProgram, values: &[Rational], objective: &Rational, label: &str) {
+    assert_eq!(values.len(), lp.num_vars(), "{label}: witness length");
+    for v in values {
         assert!(!v.is_negative(), "{label}: negative variable in witness");
     }
     for (ci, c) in lp.constraints().iter().enumerate() {
         let mut lhs = Rational::zero();
         for (v, coeff) in &c.coeffs {
-            lhs += &(coeff * &sol.values[v.index()]);
+            lhs += &(coeff * &values[v.index()]);
         }
         let ok = match c.rel {
             Relation::Le => lhs <= c.rhs,
@@ -58,69 +80,103 @@ fn verify_witness(lp: &LinearProgram, sol: &LpSolution, label: &str) {
     }
     let mut obj = Rational::zero();
     for (j, c) in lp.objective_coeffs().iter().enumerate() {
-        obj += &(c * &sol.values[j]);
+        obj += &(c * &values[j]);
     }
     assert_eq!(
-        obj, sol.objective,
+        &obj, objective,
         "{label}: witness does not attain the reported objective"
     );
 }
 
-/// Solves with both engines under both pivot rules; asserts exact
-/// status/objective agreement and verified-feasible witnesses. Returns
-/// the common status.
+/// Asserts that `sol` agrees with the oracle on status and objective
+/// and, at optimality, carries a verified witness.
+fn assert_matches_oracle(
+    lp: &LinearProgram,
+    oracle: &OracleSolution,
+    sol: &LpSolution,
+    label: &str,
+) {
+    assert_eq!(
+        sol.status, oracle.status,
+        "{label}: engine and oracle disagree on status for\n{lp}"
+    );
+    if oracle.status == LpStatus::Optimal {
+        assert_eq!(
+            sol.objective, oracle.objective,
+            "{label}: engine and oracle disagree on the optimum for\n{lp}"
+        );
+        verify_witness(lp, &sol.values, &sol.objective, label);
+    }
+}
+
+/// Solves with the oracle under both pivot rules, then with both
+/// engines under both rules and through `solve()`; asserts exact
+/// status/objective agreement with the oracle and verified-feasible
+/// witnesses. Returns the common status.
 fn differential(lp: &LinearProgram, label: &str) -> LpStatus {
+    let oracle = tableau::solve_with(lp, PivotRule::Bland);
+    let oracle_dtb = tableau::solve_with(lp, PivotRule::DantzigThenBland);
+    assert_eq!(
+        oracle_dtb.status, oracle.status,
+        "{label}: oracle pivot rules disagree"
+    );
+    if oracle.status == LpStatus::Optimal {
+        assert_eq!(
+            oracle_dtb.objective, oracle.objective,
+            "{label}: oracle pivot rules disagree"
+        );
+        verify_witness(
+            lp,
+            &oracle.values,
+            &oracle.objective,
+            &format!("{label}/oracle"),
+        );
+        verify_witness(
+            lp,
+            &oracle_dtb.values,
+            &oracle_dtb.objective,
+            &format!("{label}/oracle-dtb"),
+        );
+    }
     let runs = [
-        ("dense/bland", solve_with(lp, PivotRule::Bland)),
-        ("dense/dtb", solve_with(lp, PivotRule::DantzigThenBland)),
         ("sparse/bland", solve_revised(lp, PivotRule::Bland)),
         ("sparse/dtb", solve_revised(lp, PivotRule::DantzigThenBland)),
-        (
-            "hybrid/bland",
-            solve_lp(lp, Solver::HybridFloat, PivotRule::Bland),
-        ),
-        (
-            "hybrid/dtb",
-            solve_lp(lp, Solver::HybridFloat, PivotRule::DantzigThenBland),
-        ),
+        ("hybrid/bland", solve_hybrid(lp, PivotRule::Bland)),
+        ("hybrid/dtb", solve_hybrid(lp, PivotRule::DantzigThenBland)),
+        ("solve()", lp.solve()),
     ];
-    let status = runs[0].1.status;
     for (name, sol) in &runs {
-        assert_eq!(
-            sol.status, status,
-            "{label}/{name}: engines disagree on status for\n{lp}"
-        );
-        if status == LpStatus::Optimal {
-            assert_eq!(
-                sol.objective, runs[0].1.objective,
-                "{label}/{name}: engines disagree on the optimum for\n{lp}"
-            );
-            verify_witness(lp, sol, &format!("{label}/{name}"));
-        }
-        if name.starts_with("hybrid") {
+        let label = format!("{label}/{name}");
+        assert_matches_oracle(lp, &oracle, sol, &label);
+        if sol.stats.solver == SolverKind::HybridFloat {
             // A hybrid answer is either a verified float basis or an
             // exact fallback — exactly one, never neither or both.
             assert!(
                 sol.stats.float_verified != (sol.stats.exact_fallbacks > 0),
-                "{label}/{name}: hybrid solve neither verified nor fell back\n{lp}"
+                "{label}: hybrid solve neither verified nor fell back\n{lp}"
             );
             // Non-optimal float outcomes are untrusted hints, so any
             // non-Optimal status must have come from the exact engine.
-            if status != LpStatus::Optimal {
+            if oracle.status != LpStatus::Optimal {
                 assert!(
                     sol.stats.exact_fallbacks > 0,
-                    "{label}/{name}: non-optimal status without exact fallback\n{lp}"
+                    "{label}: non-optimal status without exact fallback\n{lp}"
                 );
             }
         }
     }
-    status
+    assert_eq!(
+        runs[4].1.stats.solver,
+        default_engine(),
+        "{label}: solve() engine"
+    );
+    oracle.status
 }
 
 /// The Proposition 3.6 coloring LP, built directly from the query (the
-/// production path keeps the program internal, so the test mirrors it).
-fn coloring_lp(text: &str) -> LinearProgram {
-    let q = parse_query(text).unwrap();
+/// production path keeps the program internal, so the test mirrors
+/// `cq_core::color_number_lp`).
+fn coloring_lp_of(q: &ConjunctiveQuery) -> LinearProgram {
     let mut lp = LinearProgram::maximize();
     let vars: Vec<_> = (0..q.num_vars())
         .map(|v| lp.add_var(q.var_name(v).to_owned()))
@@ -131,6 +187,35 @@ fn coloring_lp(text: &str) -> LinearProgram {
     for atom in q.body() {
         let coeffs: Vec<_> = atom.var_set().iter().map(|v| (vars[v], ri(1))).collect();
         lp.add_constraint(coeffs, Relation::Le, ri(1));
+    }
+    lp
+}
+
+fn coloring_lp(text: &str) -> LinearProgram {
+    coloring_lp_of(&parse_query(text).unwrap())
+}
+
+/// The §3.1 head edge-cover LP, mirroring
+/// `cq_core::fractional_edge_cover_head`: minimize `Σ y_j` so every
+/// head variable is covered by atoms of total weight at least 1.
+fn head_cover_lp_of(q: &ConjunctiveQuery) -> LinearProgram {
+    let mut lp = LinearProgram::minimize();
+    let ys: Vec<_> = (0..q.num_atoms())
+        .map(|j| {
+            let y = lp.add_var(format!("y{j}"));
+            lp.set_objective_coeff(y, ri(1));
+            y
+        })
+        .collect();
+    for x in q.head_var_set().iter() {
+        let coeffs: Vec<_> = q
+            .body()
+            .iter()
+            .enumerate()
+            .filter(|(_, a)| a.vars.contains(&x))
+            .map(|(j, _)| (ys[j], ri(1)))
+            .collect();
+        lp.add_constraint(coeffs, Relation::Ge, ri(1));
     }
     lp
 }
@@ -157,7 +242,7 @@ fn paper_lp_constructions_agree_across_engines() {
             differential(&dual, &format!("cover-dual({text})")),
             LpStatus::Optimal
         );
-        // Duality ties all four engine runs to one number.
+        // Duality ties the primal and dual runs to one number.
         assert_eq!(solve_revised(&lp, PivotRule::Bland).objective, {
             solve_revised(&dual, PivotRule::DantzigThenBland).objective
         });
@@ -169,7 +254,7 @@ fn entropy_lp_constructions_agree_across_engines() {
     for text in QUERIES {
         let q = parse_query(text).unwrap();
         if q.num_vars() > 5 {
-            continue; // keep the dense side of the differential quick
+            continue; // keep the oracle side of the differential quick
         }
         let lp610 = build_color_number_entropy_lp(&q, &[]);
         assert_eq!(
@@ -184,32 +269,132 @@ fn entropy_lp_constructions_agree_across_engines() {
     }
 }
 
+/// The `cluster-cold` benchmark population: the coloring LP and the
+/// head edge-cover LP of `cq_bench::random_query(seed, 10, 8)` for 2000
+/// seeds — the tiny programs the dense tableau used to take. Through
+/// `solve()` each must match the oracle on status and objective with a
+/// feasible, objective-attaining witness, and the hybrid engine must
+/// certify its float basis on every one of them (no exact fallback).
 #[test]
-fn auto_routed_solve_matches_forced_dense() {
-    // Prop 6.10 at k = 6 is past the Auto thresholds: the default
-    // `solve()` must take the large-program engine — hybrid, or the
-    // exact sparse engine when `CQ_LP_ENGINE=exact` pins it (CI's deep
-    // job runs this suite under both settings) — and land on the same
-    // optimum as a forced dense solve.
+fn cluster_cold_lps_match_the_oracle_and_float_verify() {
+    let engine = default_engine();
+    for seed in 0..2000u64 {
+        let q = cq_bench::random_query(seed, 10, 8);
+        for (kind, lp) in [
+            ("coloring", coloring_lp_of(&q)),
+            ("head-cover", head_cover_lp_of(&q)),
+        ] {
+            let label = format!("{kind}(random_query({seed}, 10, 8))");
+            let oracle = tableau::solve_with(&lp, PivotRule::Bland);
+            assert_eq!(oracle.status, LpStatus::Optimal, "{label}");
+            let sol = lp.solve();
+            assert_eq!(sol.stats.solver, engine, "{label}");
+            assert_matches_oracle(&lp, &oracle, &sol, &label);
+            let hybrid = if engine == SolverKind::HybridFloat {
+                sol
+            } else {
+                solve_hybrid(&lp, PivotRule::DantzigThenBland)
+            };
+            assert!(
+                hybrid.stats.float_verified && hybrid.stats.exact_fallbacks == 0,
+                "{label}: float basis did not verify: {:?}\n{lp}",
+                hybrid.stats
+            );
+        }
+    }
+}
+
+#[test]
+fn default_solve_matches_tableau_oracle() {
+    // The default `solve()` takes the one path — hybrid, or the exact
+    // sparse engine when `CQ_LP_ENGINE=exact` pins it (CI's deep job
+    // runs this suite under both settings) — and lands on the oracle's
+    // optimum for Prop 6.10 at k = 6.
     let q =
         parse_query("C(A,B,X,D,E,F) :- R(A,B), R(B,X), R(X,D), R(D,E), R(E,F), R(F,A)").unwrap();
     let lp = build_color_number_entropy_lp(&q, &[]);
-    let expected = match std::env::var("CQ_LP_ENGINE").ok().as_deref() {
-        Some("exact") => SolverKind::RevisedSparse,
-        _ => SolverKind::HybridFloat,
-    };
-    assert_eq!(Solver::Auto.resolve(&lp), expected);
-    let auto = lp.solve();
-    assert_eq!(auto.stats.solver, expected);
-    let dense = solve_lp(&lp, Solver::DenseTableau, PivotRule::Bland);
-    assert_eq!(auto.status, dense.status);
-    assert_eq!(auto.objective, dense.objective);
-    assert_eq!(auto.objective, ri(3)); // C(C_6) = 6/2
-                                       // The production wrapper agrees end to end.
+    let sol = lp.solve();
+    assert_eq!(sol.stats.solver, default_engine());
+    let oracle = tableau::solve_with(&lp, PivotRule::Bland);
+    assert_matches_oracle(&lp, &oracle, &sol, "prop6.10(C_6)");
+    assert_eq!(sol.objective, ri(3)); // C(C_6) = 6/2
+                                      // The production wrapper agrees end to end.
     assert_eq!(
         color_number_lp(&parse_query(QUERIES[0]).unwrap()).value,
         Rational::ratio(3, 2)
     );
+}
+
+#[test]
+fn basic_max_matches_dense() {
+    // max 3x + 5y st x <= 4; 2y <= 12; 3x + 2y <= 18  -> 36 at (2,6)
+    let mut lp = LinearProgram::maximize();
+    let x = lp.add_var("x");
+    let y = lp.add_var("y");
+    lp.set_objective_coeff(x, ri(3));
+    lp.set_objective_coeff(y, ri(5));
+    lp.add_constraint(vec![(x, ri(1))], Relation::Le, ri(4));
+    lp.add_constraint(vec![(y, ri(2))], Relation::Le, ri(12));
+    lp.add_constraint(vec![(x, ri(3)), (y, ri(2))], Relation::Le, ri(18));
+    let s = solve_revised(&lp, PivotRule::DantzigThenBland);
+    assert_matches_oracle(
+        &lp,
+        &tableau::solve_with(&lp, PivotRule::Bland),
+        &s,
+        "basic-max",
+    );
+    assert_eq!(s.objective, ri(36));
+    assert_eq!(s.value(x), &ri(2));
+    assert_eq!(s.value(y), &ri(6));
+    assert_eq!(s.stats.solver, SolverKind::RevisedSparse);
+    assert!(s.stats.pivots >= 2);
+}
+
+#[test]
+fn agrees_with_dense_on_a_deterministic_family() {
+    // A small xorshift family (fixed, independent of the proptest seed)
+    // of mixed-relation programs: the revised engine against the oracle.
+    let mut state = 0x2545f4914f6cdd1du64;
+    let mut next = move |bound: u64| {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        state % bound
+    };
+    for case in 0..60 {
+        let nv = 1 + (next(5) as usize);
+        let nc = 1 + (next(6) as usize);
+        let mut lp = if next(2) == 0 {
+            LinearProgram::maximize()
+        } else {
+            LinearProgram::minimize()
+        };
+        let vars: Vec<_> = (0..nv).map(|i| lp.add_var(format!("x{i}"))).collect();
+        for &v in &vars {
+            lp.set_objective_coeff(v, ri(next(7) as i64 - 3));
+        }
+        for _ in 0..nc {
+            let coeffs: Vec<_> = vars
+                .iter()
+                .filter_map(|&v| {
+                    let c = next(7) as i64 - 3;
+                    (c != 0).then(|| (v, ri(c)))
+                })
+                .collect();
+            if coeffs.is_empty() {
+                continue;
+            }
+            let rel = match next(3) {
+                0 => Relation::Le,
+                1 => Relation::Ge,
+                _ => Relation::Eq,
+            };
+            lp.add_constraint(coeffs, rel, ri(next(11) as i64 - 3));
+        }
+        let oracle = tableau::solve_with(&lp, PivotRule::Bland);
+        let sparse = solve_revised(&lp, PivotRule::DantzigThenBland);
+        assert_matches_oracle(&lp, &oracle, &sparse, &format!("case {case}"));
+    }
 }
 
 /// An LP crafted so the float phase confidently proposes the *wrong*
@@ -229,7 +414,7 @@ fn sub_epsilon_objective_forces_exact_fallback() {
     lp.set_objective_coeff(y, &ri(1) + &eps);
     lp.add_constraint(vec![(x, ri(1)), (y, ri(1))], Relation::Le, ri(1));
     for rule in [PivotRule::Bland, PivotRule::DantzigThenBland] {
-        let sol = solve_lp(&lp, Solver::HybridFloat, rule);
+        let sol = solve_hybrid(&lp, rule);
         assert_eq!(sol.status, LpStatus::Optimal);
         assert_eq!(sol.objective, &ri(1) + &eps, "float rounding leaked");
         assert!(
@@ -237,7 +422,7 @@ fn sub_epsilon_objective_forces_exact_fallback() {
             "verification accepted a basis that is off by ε"
         );
         assert!(!sol.stats.float_verified);
-        verify_witness(&lp, &sol, "sub-epsilon fallback");
+        verify_witness(&lp, &sol.values, &sol.objective, "sub-epsilon fallback");
     }
     // The full differential still holds on the fixture.
     assert_eq!(differential(&lp, "sub-epsilon"), LpStatus::Optimal);

@@ -229,7 +229,7 @@ fn cache_differential_reports_are_bit_identical_with_real_hits() {
         // cache-free session solved.
         if cached.stats().cache_hits > 0 {
             assert_eq!(
-                cached.stats().lp_dense_solves + cached.stats().lp_sparse_solves,
+                cached.stats().lp_sparse_solves + cached.stats().lp_hybrid_solves,
                 0,
                 "{name}: a coloring-LP cache hit must not solve"
             );

@@ -720,7 +720,7 @@ fn cache_file_snapshot_survives_into_a_new_daemon() {
     assert_eq!(cache.get("misses").and_then(Json::as_i64), Some(0));
     // Zero LP solves, per the SessionStats-derived serving counters.
     let counters = stats.get("stats").unwrap();
-    for key in ["lp_pivots", "lp_dense_solves", "lp_sparse_solves"] {
+    for key in ["lp_pivots", "lp_sparse_solves", "lp_hybrid_solves"] {
         assert_eq!(
             counters.get(key).and_then(Json::as_i64),
             Some(0),

@@ -64,7 +64,7 @@ fn generated_workload(tag: &str, n: usize) -> (Vec<String>, PathBuf) {
 
 fn run_analyze(paths: &[String], trace_file: Option<&Path>) -> std::process::Output {
     let mut cmd = Command::new(env!("CARGO_BIN_EXE_cq-analyze"));
-    cmd.args(paths).arg("--json").env_remove("CQ_HYBRID_TRACE");
+    cmd.args(paths).arg("--json");
     match trace_file {
         Some(path) => cmd.env("CQ_TRACE", path),
         None => cmd.env_remove("CQ_TRACE"),
@@ -140,7 +140,6 @@ fn metrics_file_round_trips_through_the_strict_expo_parser() {
             metrics_path.to_str().unwrap(),
         ])
         .env_remove("CQ_TRACE")
-        .env_remove("CQ_HYBRID_TRACE")
         .stdin(Stdio::piped())
         .stdout(Stdio::piped())
         .stderr(Stdio::piped())
@@ -252,10 +251,7 @@ fn cluster_traces_land_on_exactly_one_worker_and_histograms_count_requests() {
             ServeChild::spawn_with_env(
                 Path::new(env!("CARGO_BIN_EXE_cq-serve")),
                 &[],
-                &[
-                    ("CQ_TRACE", Some(path.to_str().unwrap())),
-                    ("CQ_HYBRID_TRACE", None),
-                ],
+                &[("CQ_TRACE", Some(path.to_str().unwrap()))],
             )
             .expect("spawn traced worker")
         })

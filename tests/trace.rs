@@ -73,10 +73,7 @@ fn cluster_trace_files_assemble_completely_and_match_merged_metrics() {
             ServeChild::spawn_with_env(
                 Path::new(env!("CARGO_BIN_EXE_cq-serve")),
                 &[],
-                &[
-                    ("CQ_TRACE", Some(path.to_str().unwrap())),
-                    ("CQ_HYBRID_TRACE", None),
-                ],
+                &[("CQ_TRACE", Some(path.to_str().unwrap()))],
             )
             .expect("spawn traced worker")
         })
@@ -116,8 +113,10 @@ fn cluster_trace_files_assemble_completely_and_match_merged_metrics() {
     // Every client-minted id is reconstructed: the cluster client
     // stamps ids per *query* (not per request line), so each input's
     // trace holds that query's session-phase spans on the one worker
-    // that analyzed it; serve.request/serve.execute belong to the
-    // worker-minted per-request traces alongside them.
+    // that analyzed it, plus — on a coloring-LP cache miss — the LP
+    // solve's own spans nested inside `session.coloring_lp`;
+    // serve.request/serve.execute belong to the worker-minted
+    // per-request traces alongside them.
     let ids: Vec<&str> = run
         .trace_ids
         .iter()
@@ -125,6 +124,7 @@ fn cluster_trace_files_assemble_completely_and_match_merged_metrics() {
         .collect();
     let unique: HashSet<&str> = ids.iter().copied().collect();
     assert_eq!(unique.len(), ids.len(), "trace ids must be distinct");
+    let mut lp_solves = 0;
     for id in &ids {
         let trace = assembly
             .traces
@@ -132,11 +132,33 @@ fn cluster_trace_files_assemble_completely_and_match_merged_metrics() {
             .find(|t| t.trace_id == *id)
             .unwrap_or_else(|| panic!("trace {id} missing from assembly"));
         assert!(!trace.spans.is_empty(), "trace {id} has no spans");
-        assert!(
-            trace.spans.iter().all(|s| s.name.starts_with("session.")),
-            "trace {id}: a query's trace holds its session phases, got {:?}",
-            trace.phase_counts()
-        );
+        for node in &trace.spans {
+            let parent = node.parent.map(|p| trace.spans[p].name.as_str());
+            match node.name.as_str() {
+                name if name.starts_with("session.") => {}
+                "lp.solve_hybrid" => assert_eq!(
+                    parent,
+                    Some("session.coloring_lp"),
+                    "trace {id}: the LP solve nests under the coloring phase"
+                ),
+                "lp.canonicalize" | "lp.float_propose" | "lp.exact_verify"
+                | "lp.exact_fallback" => assert_eq!(
+                    parent,
+                    Some("lp.solve_hybrid"),
+                    "trace {id}: {} nests under the hybrid solve",
+                    node.name
+                ),
+                other => panic!(
+                    "trace {id}: unexpected span {other} in a query's trace, got {:?}",
+                    trace.phase_counts()
+                ),
+            }
+        }
+        lp_solves += trace
+            .phase_counts()
+            .get("lp.solve_hybrid")
+            .copied()
+            .unwrap_or(0);
         assert!(
             trace
                 .critical_path
@@ -145,6 +167,13 @@ fn cluster_trace_files_assemble_completely_and_match_merged_metrics() {
             "trace {id}: {:?}",
             trace.critical_path
         );
+    }
+
+    // The workload's first query of each shape misses its worker's
+    // cache, so the hybrid spans must actually have been seen (the
+    // exact pin runs the revised simplex, which emits no spans).
+    if std::env::var("CQ_LP_ENGINE").as_deref() != Ok("exact") {
+        assert!(lp_solves > 0, "no lp.solve_hybrid span in any query trace");
     }
 
     // The exact agreement with the merged cross-worker histograms:
@@ -203,7 +232,6 @@ fn flame_and_assemble_json_round_trip_from_a_traced_run() {
         .args(&paths)
         .arg("--json")
         .env("CQ_TRACE", &trace_path)
-        .env_remove("CQ_HYBRID_TRACE")
         .output()
         .expect("run cq-analyze");
     assert!(out.status.success());
